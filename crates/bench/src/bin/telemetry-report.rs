@@ -107,7 +107,8 @@ fn main() -> ExitCode {
     if let Some(path) = &baseline {
         let base =
             std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("read {path}: {e}")));
-        let cmp = compare(&report, &base, tolerance);
+        let cmp = compare(&report, &base, tolerance)
+            .unwrap_or_else(|e| die(&format!("baseline {path}: {e}")));
         for line in &cmp.lines {
             println!("  {line}");
         }

@@ -7,9 +7,9 @@
 //! any workload's cycles/op regressed by more than the tolerance against
 //! the committed `baselines/bench-v1.json`.
 //!
-//! The JSON is hand-rolled (the offline build has no serde); the baseline
-//! parser below reads exactly the format [`PerfReport::to_json`] writes —
-//! one key per line — and is not a general JSON parser.
+//! The JSON goes through the workspace codec (`autarky-json`), so the
+//! baseline reader accepts any layout of the same document, and a
+//! baseline that is not JSON or lists no workloads fails the gate.
 //!
 //! Besides the whole-suite pipeline, single workloads are addressable by
 //! name ([`measure_one`]) so external matrix drivers (the campaign
@@ -21,6 +21,7 @@ use autarky::workloads::font::FontRenderer;
 use autarky::workloads::kvstore::{ItemClustering, KvStore};
 use autarky::workloads::spell::{synth_wordlist, Dictionary};
 use autarky::{Profile, SystemBuilder};
+use autarky_json::{object, Json};
 
 use crate::fig5::BATCH;
 
@@ -262,15 +263,6 @@ pub fn measure_one(name: &str, scale: u32) -> Option<WorkloadPerf> {
     }
 }
 
-/// Look up one workload's committed cycles/op in a baseline written by
-/// [`PerfReport::to_json`].
-pub fn baseline_cycles_per_op(baseline_json: &str, name: &str) -> Option<f64> {
-    parse_baseline(baseline_json)
-        .into_iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, v)| v)
-}
-
 /// Run the whole suite.
 pub fn run_suite(scale: u32) -> PerfReport {
     PerfReport {
@@ -285,43 +277,33 @@ pub fn run_suite(scale: u32) -> PerfReport {
 }
 
 impl PerfReport {
-    /// Serialize as JSON (stable key order, one key per line — the format
-    /// [`parse_baseline`] reads).
+    /// Serialize as JSON (stable key order; the format
+    /// [`baseline_entries`] reads).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"version\": 1,\n");
-        out.push_str(&format!("  \"scale\": {},\n", self.scale));
-        out.push_str("  \"workloads\": [\n");
-        for (i, w) in self.workloads.iter().enumerate() {
-            out.push_str("    {\n");
-            out.push_str(&format!("      \"name\": \"{}\",\n", w.name));
-            out.push_str(&format!("      \"ops\": {},\n", w.ops));
-            out.push_str(&format!("      \"cycles\": {},\n", w.cycles));
-            out.push_str(&format!(
-                "      \"cycles_per_op\": {:.3},\n",
-                w.cycles_per_op()
-            ));
-            out.push_str(&format!("      \"faults\": {},\n", w.faults));
-            out.push_str(&format!("      \"fault_rate\": {:.6},\n", w.fault_rate()));
-            out.push_str("      \"spans\": [\n");
-            for (j, s) in w.spans.iter().enumerate() {
-                out.push_str(&format!(
-                    "        {{\"name\": \"{}\", \"count\": {}, \"cycles\": {}}}{}\n",
-                    s.name,
-                    s.count,
-                    s.cycles,
-                    if j + 1 < w.spans.len() { "," } else { "" }
-                ));
-            }
-            out.push_str("      ]\n");
-            out.push_str(if i + 1 < self.workloads.len() {
-                "    },\n"
-            } else {
-                "    }\n"
+        let workloads = self.workloads.iter().map(|w| {
+            let spans = w.spans.iter().map(|s| {
+                object([
+                    ("name", s.name.into()),
+                    ("count", s.count.into()),
+                    ("cycles", s.cycles.into()),
+                ])
             });
-        }
-        out.push_str("  ]\n}\n");
-        out
+            object([
+                ("name", w.name.into()),
+                ("ops", w.ops.into()),
+                ("cycles", w.cycles.into()),
+                ("cycles_per_op", Json::Fixed(w.cycles_per_op(), 3)),
+                ("faults", w.faults.into()),
+                ("fault_rate", Json::Fixed(w.fault_rate(), 6)),
+                ("spans", Json::Array(spans.collect())),
+            ])
+        });
+        object([
+            ("version", 1u32.into()),
+            ("scale", self.scale.into()),
+            ("workloads", Json::Array(workloads.collect())),
+        ])
+        .pretty()
     }
 
     /// Render as a markdown table (the CI artifact).
@@ -350,22 +332,25 @@ impl PerfReport {
     }
 }
 
-/// Parse `(name, cycles_per_op)` pairs out of a baseline file written by
-/// [`PerfReport::to_json`]. Line-oriented: exactly the writer's format.
-pub fn parse_baseline(json: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    let mut name: Option<String> = None;
-    for line in json.lines() {
-        let t = line.trim().trim_end_matches(',');
-        if let Some(rest) = t.strip_prefix("\"name\": \"") {
-            name = rest.strip_suffix('"').map(|s| s.to_owned());
-        } else if let Some(rest) = t.strip_prefix("\"cycles_per_op\": ") {
-            if let (Some(n), Ok(v)) = (name.take(), rest.parse::<f64>()) {
-                out.push((n, v));
-            }
-        }
+/// The `(name, cycles_per_op)` pairs of a baseline written by
+/// [`PerfReport::to_json`], in any JSON layout. `Err` unless the text is
+/// JSON with at least one workload and every workload has both fields:
+/// a baseline that yields nothing must fail the gate, not pass it.
+pub fn baseline_entries(json: &str) -> Result<Vec<(String, f64)>, String> {
+    let doc = autarky_json::parse(json).map_err(|e| e.to_string())?;
+    let workloads = doc.get("workloads").and_then(Json::as_array);
+    let entries: Option<Vec<_>> = workloads
+        .unwrap_or_default()
+        .iter()
+        .map(|w| {
+            let name = w.get("name")?.as_str()?.to_owned();
+            Some((name, w.get("cycles_per_op")?.as_f64()?))
+        })
+        .collect();
+    match entries {
+        Some(entries) if !entries.is_empty() => Ok(entries),
+        _ => Err("no workloads with a name and cycles_per_op".to_owned()),
     }
-    out
 }
 
 /// Outcome of a baseline comparison.
@@ -379,11 +364,16 @@ pub struct Comparison {
 
 /// Compare a fresh report against a committed baseline. `tolerance` is a
 /// fraction (0.10 = fail on >10% cycles/op growth). Improvements and new
-/// workloads never fail; a workload that *disappeared* does.
-pub fn compare(current: &PerfReport, baseline_json: &str, tolerance: f64) -> Comparison {
+/// workloads never fail; a workload that *disappeared* does. `Err` when
+/// the baseline is unreadable (see [`baseline_entries`]).
+pub fn compare(
+    current: &PerfReport,
+    baseline_json: &str,
+    tolerance: f64,
+) -> Result<Comparison, String> {
     let mut lines = Vec::new();
     let mut regressions = Vec::new();
-    for (name, base) in parse_baseline(baseline_json) {
+    for (name, base) in baseline_entries(baseline_json)? {
         match current.workloads.iter().find(|w| w.name == name) {
             Some(w) if base > 0.0 => {
                 let cur = w.cycles_per_op();
@@ -404,7 +394,7 @@ pub fn compare(current: &PerfReport, baseline_json: &str, tolerance: f64) -> Com
             None => regressions.push(format!("{name}: present in baseline, missing from run")),
         }
     }
-    Comparison { lines, regressions }
+    Ok(Comparison { lines, regressions })
 }
 
 #[cfg(test)]
@@ -427,9 +417,9 @@ mod tests {
         assert_eq!(font.faults, 0, "pinned font run is fault-free");
 
         let json = report.to_json();
-        let parsed = parse_baseline(&json);
+        let parsed = baseline_entries(&json).expect("own report is a baseline");
         assert_eq!(parsed.len(), 4);
-        let cmp = compare(&report, &json, 0.10);
+        let cmp = compare(&report, &json, 0.10).expect("baseline reads");
         assert!(cmp.regressions.is_empty(), "{:?}", cmp.regressions);
         assert_eq!(cmp.lines.len(), 4);
 
@@ -451,10 +441,9 @@ mod tests {
         };
         // Baseline has paging at 100 cycles/op (current is 200) and a
         // workload the current run no longer produces.
-        let baseline = "{\n  \"workloads\": [\n    {\n      \"name\": \"paging\",\n      \
-                        \"cycles_per_op\": 100.000,\n    },\n    {\n      \"name\": \"gone\",\n      \
-                        \"cycles_per_op\": 5.000,\n    }\n  ]\n}\n";
-        let cmp = compare(&report, baseline, 0.10);
+        let baseline = "{\"workloads\": [{\"name\": \"paging\", \"cycles_per_op\": 100.000}, \
+                        {\"name\": \"gone\", \"cycles_per_op\": 5.000}]}";
+        let cmp = compare(&report, baseline, 0.10).expect("baseline reads");
         assert_eq!(cmp.regressions.len(), 2, "{:?}", cmp.regressions);
         assert!(cmp.regressions[0].contains("paging"));
         assert!(cmp.regressions[1].contains("gone"));
@@ -462,9 +451,37 @@ mod tests {
         // Within tolerance passes.
         let ok = compare(
             &report,
-            "{\n\"name\": \"paging\",\n\"cycles_per_op\": 195.0,\n}",
+            "{\"workloads\": [{\"name\": \"paging\", \"cycles_per_op\": 195.0}]}",
             0.10,
-        );
+        )
+        .expect("baseline reads");
         assert!(ok.regressions.is_empty(), "{:?}", ok.regressions);
+    }
+
+    const COMMITTED: &str = include_str!("../../../baselines/bench-v1.json");
+
+    #[test]
+    fn baseline_reads_the_same_pairs_from_any_layout() {
+        let committed = baseline_entries(COMMITTED).expect("committed baseline reads");
+        assert_eq!(committed.len(), 4);
+        assert_eq!(committed[1], ("spell".to_owned(), 339211.075));
+        // The same document re-saved onto one line by a formatter.
+        let one_line: String = COMMITTED.lines().map(str::trim).collect();
+        assert_eq!(one_line.lines().count(), 1);
+        assert_eq!(baseline_entries(&one_line), Ok(committed));
+    }
+
+    #[test]
+    fn unreadable_or_empty_baseline_fails_the_gate() {
+        let report = PerfReport {
+            scale: 1,
+            workloads: Vec::new(),
+        };
+        for baseline in ["", "garbage", "{\"workloads\": []}", "{\"version\": 1}"] {
+            assert!(
+                compare(&report, baseline, 0.10).is_err(),
+                "{baseline:?} must fail the gate"
+            );
+        }
     }
 }

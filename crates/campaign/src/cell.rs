@@ -11,6 +11,8 @@
 
 use std::fmt;
 
+use autarky_json::Json;
+
 /// The experiment kinds a cell can run (each wraps one existing
 /// subsystem as a library call).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -351,16 +353,17 @@ impl CellOutcome {
 
     /// Serialize as one journal line (round-trips via [`decode_line`]).
     ///
-    /// Metric values use Rust's shortest-round-trip `f64` display, so a
-    /// resumed campaign reconstructs bit-identical numbers and the final
-    /// report matches an uninterrupted run byte for byte.
+    /// Metric values use the JSON codec's shortest-round-trip float
+    /// (the report's own number format), so a resumed campaign
+    /// reconstructs bit-identical numbers and the final report matches
+    /// an uninterrupted run byte for byte.
     pub fn encode_line(&self, id: &str) -> String {
         let metrics = if self.metrics.is_empty() {
             "-".to_owned()
         } else {
             self.metrics
                 .iter()
-                .map(|(k, v)| format!("{k}:{}", json_f64(*v)))
+                .map(|(k, v)| format!("{k}:{}", Json::Float(*v).line()))
                 .collect::<Vec<_>>()
                 .join(",")
         };
@@ -421,16 +424,6 @@ pub fn decode_line(line: &str) -> Option<(String, CellOutcome)> {
             reason: reason?,
         },
     ))
-}
-
-/// Finite journal/report float (JSON has no Infinity/NaN; mirror the
-/// leakage report's sentinel).
-pub(crate) fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "1e308".to_owned()
-    }
 }
 
 /// Percent-escape a free-text field into one whitespace-free token.

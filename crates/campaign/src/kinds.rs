@@ -77,25 +77,24 @@ fn run_bench(spec: &CellSpec) -> CellOutcome {
             reason: format!("{:.1} cycles/op (no baseline configured)", cur),
         };
     };
-    let json = match std::fs::read_to_string(baseline_path) {
-        Ok(json) => json,
+    let base = std::fs::read_to_string(baseline_path)
+        .map_err(|e| format!("unreadable: {e}"))
+        .and_then(|json| autarky_bench::perf::baseline_entries(&json))
+        .and_then(|entries| {
+            let found = entries.into_iter().find(|(name, _)| *name == spec.workload);
+            found
+                .map(|(_, v)| v)
+                .ok_or_else(|| format!("no workload {:?}", spec.workload))
+        });
+    let base = match base {
+        Ok(base) => base,
         Err(e) => {
             return CellOutcome {
                 gate: GateOutcome::Fail,
                 metrics,
-                reason: format!("baseline {baseline_path} unreadable: {e}"),
+                reason: format!("baseline {baseline_path}: {e}"),
             }
         }
-    };
-    let Some(base) = autarky_bench::perf::baseline_cycles_per_op(&json, &spec.workload) else {
-        return CellOutcome {
-            gate: GateOutcome::Fail,
-            metrics,
-            reason: format!(
-                "workload {:?} missing from baseline {baseline_path}",
-                spec.workload
-            ),
-        };
     };
     if base <= 0.0 {
         return CellOutcome {
@@ -796,32 +795,29 @@ fn run_profile(spec: &CellSpec) -> CellOutcome {
     }
     let mut hot_line = String::new();
     if let Some(baseline_path) = &spec.params.baseline {
-        match std::fs::read_to_string(baseline_path) {
-            Err(e) => failures.push(format!("baseline {baseline_path} unreadable: {e}")),
-            Ok(json) => match autarky_profile::baseline_hot_path(&json, &p.name()) {
-                None => failures.push(format!(
-                    "profile {:?} missing from baseline {baseline_path}",
-                    p.name()
-                )),
-                Some(base) if base <= 0.0 => failures.push(format!(
-                    "baseline hot path for {:?} is not positive",
-                    p.name()
-                )),
-                Some(base) => {
-                    let cur = p.hot_path_cycles_per_fault();
-                    let delta_pct = (cur / base - 1.0) * 100.0;
-                    metrics.push(("baseline_hot_path_cycles_per_fault".to_owned(), base));
-                    metrics.push(("hot_path_delta_pct".to_owned(), delta_pct));
-                    hot_line =
-                        format!(", hot path {cur:.1} vs {base:.1} cycles/fault ({delta_pct:+.1}%)");
-                    if delta_pct > spec.params.max_growth_pct {
-                        failures.push(format!(
-                            "hot path {delta_pct:+.1}% > +{:.1}% allowed",
-                            spec.params.max_growth_pct
-                        ));
-                    }
+        let base = std::fs::read_to_string(baseline_path)
+            .map_err(|e| format!("unreadable: {e}"))
+            .and_then(|json| autarky_profile::hot_path_baseline(&json, &p.name()));
+        match base {
+            Err(e) => failures.push(format!("baseline {baseline_path}: {e}")),
+            Ok(base) if base <= 0.0 => failures.push(format!(
+                "baseline hot path for {:?} is not positive",
+                p.name()
+            )),
+            Ok(base) => {
+                let cur = p.hot_path_cycles_per_fault();
+                let delta_pct = (cur / base - 1.0) * 100.0;
+                metrics.push(("baseline_hot_path_cycles_per_fault".to_owned(), base));
+                metrics.push(("hot_path_delta_pct".to_owned(), delta_pct));
+                hot_line =
+                    format!(", hot path {cur:.1} vs {base:.1} cycles/fault ({delta_pct:+.1}%)");
+                if delta_pct > spec.params.max_growth_pct {
+                    failures.push(format!(
+                        "hot path {delta_pct:+.1}% > +{:.1}% allowed",
+                        spec.params.max_growth_pct
+                    ));
                 }
-            },
+            }
         }
     }
     if failures.is_empty() {

@@ -7,7 +7,9 @@
 //! byte-identical to an uninterrupted run (the resume property test
 //! pins this).
 
-use crate::cell::{json_f64, GateOutcome};
+use autarky_json::{object, Json};
+
+use crate::cell::GateOutcome;
 use crate::runner::CellRun;
 
 /// A finished campaign, ready to render.
@@ -44,68 +46,40 @@ impl CampaignReport {
         self.failed() == 0
     }
 
-    /// Serialize as JSON (stable key order, hand-rolled like every
-    /// codec in this workspace).
+    /// Serialize as JSON (stable key order).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"version\": 1,\n");
-        out.push_str(&format!("  \"campaign\": \"{}\",\n", esc(&self.name)));
-        out.push_str(&format!("  \"cells\": {},\n", self.runs.len()));
-        out.push_str(&format!("  \"passed\": {},\n", self.passed()));
-        out.push_str(&format!("  \"failed\": {},\n", self.failed()));
-        out.push_str(&format!("  \"info\": {},\n", self.info()));
-        out.push_str(&format!("  \"pass\": {},\n", self.pass()));
-        out.push_str("  \"results\": [\n");
-        for (i, run) in self.runs.iter().enumerate() {
+        let results = self.runs.iter().map(|run| {
             let spec = &run.spec;
-            out.push_str("    {\n");
-            out.push_str(&format!("      \"id\": \"{}\",\n", esc(&spec.id)));
-            out.push_str(&format!("      \"kind\": \"{}\",\n", spec.kind.name()));
-            out.push_str(&format!(
-                "      \"policy\": {},\n",
-                opt_str(spec.policy.as_deref())
-            ));
-            out.push_str(&format!(
-                "      \"workload\": \"{}\",\n",
-                esc(&spec.workload)
-            ));
-            out.push_str(&format!(
-                "      \"enclave_size\": {},\n",
-                opt_u64(spec.enclave_size)
-            ));
-            out.push_str(&format!(
-                "      \"fault_plan\": {},\n",
-                opt_str(spec.fault_plan.as_deref())
-            ));
-            out.push_str(&format!(
-                "      \"traffic_shape\": {},\n",
-                opt_str(spec.traffic_shape.as_deref())
-            ));
-            out.push_str(&format!("      \"seed\": {},\n", opt_u64(spec.seed)));
-            out.push_str(&format!(
-                "      \"gate\": \"{}\",\n",
-                run.outcome.gate.name()
-            ));
-            out.push_str("      \"metrics\": {");
-            for (j, (key, value)) in run.outcome.metrics.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!("\"{}\": {}", esc(key), json_f64(*value)));
-            }
-            out.push_str("},\n");
-            out.push_str(&format!(
-                "      \"reason\": \"{}\"\n",
-                esc(&run.outcome.reason)
-            ));
-            out.push_str(if i + 1 < self.runs.len() {
-                "    },\n"
-            } else {
-                "    }\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
+            let metrics = run
+                .outcome
+                .metrics
+                .iter()
+                .map(|(key, value)| (key.as_str(), Json::Float(*value)));
+            object([
+                ("id", spec.id.as_str().into()),
+                ("kind", spec.kind.name().into()),
+                ("policy", spec.policy.as_deref().into()),
+                ("workload", spec.workload.as_str().into()),
+                ("enclave_size", spec.enclave_size.into()),
+                ("fault_plan", spec.fault_plan.as_deref().into()),
+                ("traffic_shape", spec.traffic_shape.as_deref().into()),
+                ("seed", spec.seed.into()),
+                ("gate", run.outcome.gate.name().into()),
+                ("metrics", object(metrics)),
+                ("reason", run.outcome.reason.as_str().into()),
+            ])
+        });
+        object([
+            ("version", 1u32.into()),
+            ("campaign", self.name.as_str().into()),
+            ("cells", self.runs.len().into()),
+            ("passed", self.passed().into()),
+            ("failed", self.failed().into()),
+            ("info", self.info().into()),
+            ("pass", Json::Bool(self.pass())),
+            ("results", Json::Array(results.collect())),
+        ])
+        .pretty()
     }
 
     /// Render as a markdown summary (the CI artifact).
@@ -162,7 +136,7 @@ impl CampaignReport {
                 out.push_str(&format!("### `{}` {}\n\n", run.spec.id, run.spec.coords()));
                 out.push_str(&format!("{}\n\n", run.outcome.reason));
                 for (key, value) in &run.outcome.metrics {
-                    out.push_str(&format!("- {key}: {}\n", json_f64(*value)));
+                    out.push_str(&format!("- {key}: {}\n", Json::Float(*value).line()));
                 }
                 out.push('\n');
             }
@@ -198,15 +172,14 @@ impl CampaignReport {
         if entries.is_empty() {
             return None;
         }
-        let mut out = format!("{{\"campaign\": \"{}\", \"bench\": {{", esc(&self.name));
-        for (i, (workload, cycles)) in entries.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{}\": {}", esc(workload), json_f64(*cycles)));
-        }
-        out.push_str("}}");
-        Some(out)
+        let bench = entries.into_iter().map(|(w, v)| (w, Json::Float(v)));
+        Some(
+            object([
+                ("campaign", self.name.as_str().into()),
+                ("bench", object(bench)),
+            ])
+            .line(),
+        )
     }
 }
 
@@ -219,7 +192,7 @@ impl CampaignReport {
 pub fn render_bench_trend(history: &str) -> String {
     let runs: Vec<Vec<(String, f64)>> = history
         .lines()
-        .filter_map(parse_history_line)
+        .filter_map(history_entries)
         .filter(|entries| !entries.is_empty())
         .collect();
     if runs.is_empty() {
@@ -276,58 +249,18 @@ pub fn render_bench_trend(history: &str) -> String {
     out
 }
 
-/// Extract the `"bench": {"workload": cycles, ...}` map from one
-/// history line. Hand-rolled like every codec in this workspace; the
-/// emitter is [`CampaignReport::bench_history_line`], so the grammar
-/// is narrow: flat string→number pairs, no nesting, no escapes inside
-/// workload names.
-fn parse_history_line(line: &str) -> Option<Vec<(String, f64)>> {
-    let start = line.find("\"bench\"")?;
-    let rest = &line[start..];
-    let open = rest.find('{')?;
-    let close = rest[open..].find('}')? + open;
-    let body = &rest[open + 1..close];
-    let mut out = Vec::new();
-    for pair in body.split(',') {
-        let (key, value) = pair.split_once(':')?;
-        let key = key.trim().trim_matches('"');
-        let value: f64 = value.trim().parse().ok()?;
-        if key.is_empty() {
-            return None;
-        }
-        out.push((key.to_owned(), value));
-    }
-    Some(out)
-}
-
-/// Minimal JSON string escape (quotes, backslashes, control chars).
-fn esc(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn opt_str(value: Option<&str>) -> String {
-    match value {
-        Some(s) => format!("\"{}\"", esc(s)),
-        None => "null".to_owned(),
-    }
-}
-
-fn opt_u64(value: Option<u64>) -> String {
-    match value {
-        Some(v) => v.to_string(),
-        None => "null".to_owned(),
-    }
+/// The `"bench": {"workload": cycles, ...}` map of one history line
+/// written by [`CampaignReport::bench_history_line`]; `None` when the
+/// line is not JSON or a value is not a number.
+fn history_entries(line: &str) -> Option<Vec<(String, f64)>> {
+    let doc = autarky_json::parse(line).ok()?;
+    let Some(Json::Object(bench)) = doc.get("bench") else {
+        return None;
+    };
+    bench
+        .iter()
+        .map(|(w, v)| Some((w.clone(), v.as_f64()?)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -437,7 +370,7 @@ mod tests {
              {\"spell\": 1234.5, \"font\": 42}}"
         );
         // And the emitted line round-trips through the trend parser.
-        let parsed = parse_history_line(&line).expect("parses");
+        let parsed = history_entries(&line).expect("parses");
         assert_eq!(
             parsed,
             vec![("spell".into(), 1234.5), ("font".into(), 42.0)]

@@ -33,6 +33,7 @@
 //!   isolate tenants from each other's access patterns.
 
 use autarky::{Profile, SystemBuilder};
+use autarky_json::{object, Json};
 use autarky_os_sim::{EnclaveImage, Observation, Os};
 use autarky_runtime::{is_telemetry_export_key, RateLimit, RuntimeConfig};
 use autarky_sgx_sim::machine::MachineConfig;
@@ -929,67 +930,58 @@ fn run_fleet_cell(workload: Workload, secret: u32, seed: u64) -> (Trace, RunStat
 }
 
 // ----------------------------------------------------------------------
-// Report rendering (hand-rolled JSON/markdown; no external deps in the
-// offline build).
+// Report rendering (JSON through the workspace codec, plus markdown).
 // ----------------------------------------------------------------------
 
 impl AuditReport {
     /// Serialize the report as JSON (stable key order).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"seeds\": {},\n", self.seeds));
-        out.push_str(&format!("  \"pass\": {},\n", self.pass));
-        out.push_str("  \"cells\": [\n");
-        for (i, cell) in self.cells.iter().enumerate() {
-            out.push_str("    {\n");
-            out.push_str(&format!("      \"policy\": \"{}\",\n", cell.policy));
-            out.push_str(&format!("      \"workload\": \"{}\",\n", cell.workload));
-            out.push_str(&format!(
-                "      \"gate\": \"{}\",\n",
-                match cell.gate {
-                    Gate::Pass => "pass",
-                    Gate::Fail => "fail",
-                    Gate::Info => "info",
-                }
-            ));
-            out.push_str(&format!(
-                "      \"reason\": \"{}\",\n",
-                cell.reason.replace('"', "'")
-            ));
+        let cells = self.cells.iter().map(|cell| {
             let d = &cell.dist;
-            out.push_str(&format!(
-                "      \"mi_bits\": {},\n      \"accuracy\": {},\n      \
-                 \"mean_cross_tv\": {},\n      \"mean_within_tv\": {},\n      \
-                 \"mean_cross_edit\": {},\n      \"mean_symbols\": [{}, {}]",
-                json_f64(d.mi_bits),
-                json_f64(d.accuracy),
-                json_f64(d.mean_cross_tv),
-                json_f64(d.mean_within_tv),
-                json_f64(d.mean_cross_edit),
-                json_f64(d.mean_symbols[0]),
-                json_f64(d.mean_symbols[1]),
-            ));
+            let gate = match cell.gate {
+                Gate::Pass => "pass",
+                Gate::Fail => "fail",
+                Gate::Info => "info",
+            };
+            let mut fields = vec![
+                ("policy", cell.policy.into()),
+                ("workload", cell.workload.into()),
+                ("gate", gate.into()),
+                ("reason", cell.reason.as_str().into()),
+                ("mi_bits", Json::Float(d.mi_bits)),
+                ("accuracy", Json::Float(d.accuracy)),
+                ("mean_cross_tv", Json::Float(d.mean_cross_tv)),
+                ("mean_within_tv", Json::Float(d.mean_within_tv)),
+                ("mean_cross_edit", Json::Float(d.mean_cross_edit)),
+                (
+                    "mean_symbols",
+                    Json::Array(d.mean_symbols.map(Json::Float).into()),
+                ),
+            ];
             if let Some(rate) = &cell.rate {
-                out.push_str(&format!(
-                    ",\n      \"rate\": {{\"faults\": {}, \"progress\": {}, \
-                     \"allowed\": {}, \"measured_bits_per_progress\": {}, \
-                     \"budget_bits_per_progress\": {}}}",
-                    rate.faults,
-                    rate.progress,
-                    json_f64(rate.allowed),
-                    json_f64(rate.measured_bits_per_progress),
-                    json_f64(rate.budget_bits_per_progress),
-                ));
+                let rate = object([
+                    ("faults", rate.faults.into()),
+                    ("progress", rate.progress.into()),
+                    ("allowed", Json::Float(rate.allowed)),
+                    (
+                        "measured_bits_per_progress",
+                        Json::Float(rate.measured_bits_per_progress),
+                    ),
+                    (
+                        "budget_bits_per_progress",
+                        Json::Float(rate.budget_bits_per_progress),
+                    ),
+                ]);
+                fields.push(("rate", rate));
             }
-            out.push_str("\n    }");
-            out.push_str(if i + 1 < self.cells.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
+            object(fields)
+        });
+        object([
+            ("seeds", self.seeds.into()),
+            ("pass", Json::Bool(self.pass)),
+            ("cells", Json::Array(cells.collect())),
+        ])
+        .pretty()
     }
 
     /// Render the report as a markdown table plus gate lines.
@@ -1033,15 +1025,6 @@ impl AuditReport {
             ));
         }
         out
-    }
-}
-
-fn json_f64(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        // JSON has no Infinity; encode as a large sentinel.
-        "1e308".to_owned()
     }
 }
 

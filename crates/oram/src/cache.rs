@@ -49,11 +49,6 @@ impl<S: BucketStorage> CachedOram<S> {
         &self.oram
     }
 
-    /// Mutable access to the wrapped ORAM.
-    pub fn oram_mut(&mut self) -> &mut PathOram<S> {
-        &mut self.oram
-    }
-
     /// Cache capacity in blocks.
     pub fn capacity(&self) -> usize {
         self.capacity

@@ -16,7 +16,7 @@
 
 use std::process::ExitCode;
 
-use autarky_profile::{baseline_hot_path, collect, flamegraph, CollectSpec};
+use autarky_profile::{collect, flamegraph, hot_path_baseline, CollectSpec};
 
 fn die(msg: &str) -> ! {
     eprintln!("profile: {msg}");
@@ -106,6 +106,7 @@ fn main() -> ExitCode {
     let got = collect(&spec).unwrap_or_else(|e| die(&e));
     let profile = &got.profile;
 
+    std::fs::create_dir_all(&out_dir).unwrap_or_else(|e| die(&format!("create {out_dir}: {e}")));
     let stem = format!("{out_dir}/profile-{workload}-{policy}");
     for (ext, data) in [
         ("folded", profile.folded()),
@@ -143,18 +144,18 @@ fn main() -> ExitCode {
     if let Some(path) = &baseline {
         let base =
             std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("read {path}: {e}")));
-        match baseline_hot_path(&base, &profile.name()) {
-            Some(base_hot) if base_hot > 0.0 => {
-                let cur = profile.hot_path_cycles_per_fault();
-                let delta_pct = (cur / base_hot - 1.0) * 100.0;
-                println!("hot path: {base_hot:.1} -> {cur:.1} cycles/fault ({delta_pct:+.2}%)");
-                if delta_pct > max_growth_pct {
-                    eprintln!("HOT PATH GATE: +{delta_pct:.2}% > {max_growth_pct:.1}% allowed");
-                    failed = true;
-                }
+        let base_hot = hot_path_baseline(&base, &profile.name())
+            .unwrap_or_else(|e| die(&format!("baseline {path}: {e}")));
+        if base_hot > 0.0 {
+            let cur = profile.hot_path_cycles_per_fault();
+            let delta_pct = (cur / base_hot - 1.0) * 100.0;
+            println!("hot path: {base_hot:.1} -> {cur:.1} cycles/fault ({delta_pct:+.2}%)");
+            if delta_pct > max_growth_pct {
+                eprintln!("HOT PATH GATE: +{delta_pct:.2}% > {max_growth_pct:.1}% allowed");
+                failed = true;
             }
-            Some(_) => println!("hot path baseline is zero, skipped"),
-            None => die(&format!("baseline {path} has no entry {}", profile.name())),
+        } else {
+            println!("hot path baseline is zero, skipped");
         }
     }
     if failed {

@@ -20,7 +20,7 @@ fn die(msg: &str) -> ! {
 
 fn load(path: &str) -> CycleProfile {
     let json = std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("read {path}: {e}")));
-    CycleProfile::from_json(&json).unwrap_or_else(|| die(&format!("{path}: not a profile JSON")))
+    CycleProfile::from_json(&json).unwrap_or_else(|e| die(&format!("{path}: {e}")))
 }
 
 fn main() -> ExitCode {

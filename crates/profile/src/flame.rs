@@ -24,7 +24,7 @@ const MIN_LABEL_W: f64 = 35.0;
 /// Approximate label glyph width at font-size 11, pixels.
 const GLYPH_W: f64 = 6.6;
 
-fn esc(s: &str) -> String {
+fn xml_esc(s: &str) -> String {
     s.replace('&', "&amp;")
         .replace('<', "&lt;")
         .replace('>', "&gt;")
@@ -67,7 +67,7 @@ fn frame_svg(out: &mut String, name: &str, tip: &str, x: f64, y: f64, w: f64, co
     out.push_str(&format!(
         "<g><title>{}</title><rect x=\"{x:.2}\" y=\"{y:.1}\" width=\"{w:.2}\" \
          height=\"{:.1}\" fill=\"{color}\" rx=\"1\"/>",
-        esc(tip),
+        xml_esc(tip),
         FRAME_H - 1.0,
     ));
     if let Some(label) = label_for(name, w) {
@@ -76,7 +76,7 @@ fn frame_svg(out: &mut String, name: &str, tip: &str, x: f64, y: f64, w: f64, co
              fill=\"#000\">{}</text>",
             x + 3.0,
             y + FRAME_H - 5.0,
-            esc(&label)
+            xml_esc(&label)
         ));
     }
     out.push_str("</g>\n");
@@ -94,13 +94,13 @@ fn svg_open(out: &mut String, title: &str, subtitle: &str, height: f64) {
         "<text x=\"{:.1}\" y=\"17\" text-anchor=\"middle\" font-size=\"14\" \
          font-family=\"monospace\" fill=\"#222\">{}</text>\n",
         WIDTH / 2.0,
-        esc(title)
+        xml_esc(title)
     ));
     out.push_str(&format!(
         "<text x=\"{:.1}\" y=\"33\" text-anchor=\"middle\" font-size=\"11\" \
          font-family=\"monospace\" fill=\"#555\">{}</text>\n",
         WIDTH / 2.0,
-        esc(subtitle)
+        xml_esc(subtitle)
     ));
 }
 

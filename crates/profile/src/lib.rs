@@ -9,7 +9,7 @@
 //! residual.
 //!
 //! Outputs are deterministic byte-for-byte: collapsed-stack folded
-//! text, a self-contained SVG flamegraph, and a line-oriented JSON
+//! text, a self-contained SVG flamegraph, and a JSON
 //! profile with a differential mode (`profile-diff a.json b.json`).
 //!
 //! The profiler is strictly **host-side** tooling: it reads only
@@ -33,5 +33,5 @@ pub mod tree;
 pub use collect::{collect, CollectSpec, Collected, PROFILE_POLICIES, PROFILE_WORKLOADS};
 pub use diff::ProfileDiff;
 pub use flame::{diff_flamegraph, flamegraph};
-pub use profile::{baseline_hot_path, ClusterRow, CycleProfile};
+pub use profile::{hot_path_baseline, ClusterRow, CycleProfile};
 pub use tree::ProfileNode;

@@ -2,12 +2,13 @@
 //! per-fault latency + per-cluster breakdown, with deterministic folded
 //! and JSON renderings.
 //!
-//! The JSON is hand-rolled and line-oriented (the offline build has no
-//! serde): [`CycleProfile::to_json`] writes one key per line and
-//! [`CycleProfile::from_json`] reads exactly that format back — the
-//! same convention the bench baseline parser uses, so committed
-//! profile baselines are greppable and diff-friendly.
+//! The JSON goes through the workspace codec (`autarky-json`):
+//! [`CycleProfile::to_json`] renders it pretty-printed, one scalar key
+//! per line, so committed profile baselines stay greppable and
+//! diff-friendly, and [`CycleProfile::from_json`] is field lookups on
+//! the parsed value.
 
+use autarky_json::{object, Json};
 use autarky_telemetry::LatencySummary;
 
 use crate::tree::ProfileNode;
@@ -139,273 +140,116 @@ impl CycleProfile {
         out
     }
 
-    /// Serialize as JSON (stable key order, one key per line — the
-    /// format [`CycleProfile::from_json`] and the baseline parser read).
+    /// Serialize as JSON (stable key order; the format
+    /// [`CycleProfile::from_json`] and [`hot_path_baseline`] read).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"version\": 1,\n");
-        out.push_str(&format!("  \"name\": \"{}\",\n", self.name()));
-        out.push_str(&format!("  \"workload\": \"{}\",\n", self.workload));
-        out.push_str(&format!("  \"policy\": \"{}\",\n", self.policy));
-        out.push_str(&format!("  \"scale\": {},\n", self.scale));
-        out.push_str(&format!("  \"ops\": {},\n", self.ops));
-        out.push_str(&format!("  \"total_cycles\": {},\n", self.total_cycles));
-        out.push_str(&format!(
-            "  \"attributed_cycles\": {},\n",
-            self.attributed_cycles()
-        ));
-        out.push_str(&format!(
-            "  \"residual_cycles\": {},\n",
-            self.residual_cycles
-        ));
-        out.push_str(&format!("  \"orphan_cycles\": {},\n", self.orphan_cycles));
-        out.push_str(&format!(
-            "  \"residual_pct\": {:.4},\n",
-            self.residual_pct()
-        ));
-        out.push_str(&format!(
-            "  \"journal_dropped\": {},\n",
-            self.journal_dropped
-        ));
-        out.push_str(&format!("  \"span_dropped\": {},\n", self.span_dropped));
-        out.push_str(&format!("  \"flight_dropped\": {},\n", self.flight_dropped));
-        out.push_str(&format!("  \"faults\": {},\n", self.faults));
-        out.push_str(&format!(
-            "  \"fault_p50_cycles\": {},\n",
-            self.fault_latency.p50
-        ));
-        out.push_str(&format!(
-            "  \"fault_p99_cycles\": {},\n",
-            self.fault_latency.p99
-        ));
-        out.push_str(&format!(
-            "  \"fault_p999_cycles\": {},\n",
-            self.fault_latency.p999
-        ));
-        out.push_str(&format!(
-            "  \"fault_mean_cycles\": {:.3},\n",
-            self.fault_latency.mean
-        ));
-        out.push_str(&format!(
-            "  \"hot_path_cycles_per_fault\": {:.3},\n",
-            self.hot_path_cycles_per_fault()
-        ));
-        out.push_str("  \"tags\": [\n");
-        for (i, (name, cycles)) in self.tags.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"tag\": \"{name}\", \"cycles\": {cycles}}}{}\n",
-                if i + 1 < self.tags.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"clusters\": [\n");
-        for (i, row) in self.clusters.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"page\": {}, \"cluster_faults\": {}, \"cluster_cycles\": {}}}{}\n",
-                row.page,
-                row.faults,
-                row.cycles,
-                if i + 1 < self.clusters.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"frames\": [\n");
-        let frames = self.root.frames(&self.workload);
-        for (i, (stack, cycles)) in frames.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"stack\": \"{stack}\", \"cycles\": {cycles}}}{}\n",
-                if i + 1 < frames.len() { "," } else { "" }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let tags = self.tags.iter().map(|(tag, cycles)| {
+            object([("tag", tag.as_str().into()), ("cycles", (*cycles).into())])
+        });
+        let clusters = self.clusters.iter().map(|row| {
+            object([
+                ("page", row.page.into()),
+                ("cluster_faults", row.faults.into()),
+                ("cluster_cycles", row.cycles.into()),
+            ])
+        });
+        let frames = self
+            .root
+            .frames(&self.workload)
+            .into_iter()
+            .map(|(stack, cycles)| {
+                object([("stack", Json::Str(stack)), ("cycles", cycles.into())])
+            });
+        object([
+            ("version", 1u32.into()),
+            ("name", Json::Str(self.name())),
+            ("workload", self.workload.as_str().into()),
+            ("policy", self.policy.as_str().into()),
+            ("scale", self.scale.into()),
+            ("ops", self.ops.into()),
+            ("total_cycles", self.total_cycles.into()),
+            ("attributed_cycles", self.attributed_cycles().into()),
+            ("residual_cycles", self.residual_cycles.into()),
+            ("orphan_cycles", self.orphan_cycles.into()),
+            ("residual_pct", Json::Fixed(self.residual_pct(), 4)),
+            ("journal_dropped", self.journal_dropped.into()),
+            ("span_dropped", self.span_dropped.into()),
+            ("flight_dropped", self.flight_dropped.into()),
+            ("faults", self.faults.into()),
+            ("fault_p50_cycles", self.fault_latency.p50.into()),
+            ("fault_p99_cycles", self.fault_latency.p99.into()),
+            ("fault_p999_cycles", self.fault_latency.p999.into()),
+            ("fault_mean_cycles", Json::Fixed(self.fault_latency.mean, 3)),
+            (
+                "hot_path_cycles_per_fault",
+                Json::Fixed(self.hot_path_cycles_per_fault(), 3),
+            ),
+            ("tags", Json::Array(tags.collect())),
+            ("clusters", Json::Array(clusters.collect())),
+            ("frames", Json::Array(frames.collect())),
+        ])
+        .pretty()
     }
 
-    /// Parse a profile back from [`CycleProfile::to_json`] output.
-    /// Line-oriented — exactly the writer's format, not general JSON.
-    pub fn from_json(json: &str) -> Option<CycleProfile> {
-        enum Section {
-            Scalars,
-            Tags,
-            Clusters,
-            Frames,
-        }
-        let mut section = Section::Scalars;
-        let mut workload = None;
-        let mut policy = None;
-        let mut scale = None;
-        let mut ops = None;
-        let mut total_cycles = None;
-        let mut residual_cycles = None;
-        let mut orphan_cycles = 0u64;
-        let mut journal_dropped = 0u64;
-        let mut span_dropped = 0u64;
-        let mut flight_dropped = 0u64;
-        let mut faults = None;
-        let mut p50 = 0u64;
-        let mut p99 = 0u64;
-        let mut p999 = 0u64;
-        let mut mean = 0f64;
-        let mut tags: Vec<(String, u64)> = Vec::new();
-        let mut clusters: Vec<ClusterRow> = Vec::new();
-        let mut frames: Vec<(String, u64)> = Vec::new();
-
-        let str_field = |t: &str, key: &str| -> Option<String> {
-            t.strip_prefix(&format!("\"{key}\": \""))
-                .and_then(|r| r.strip_suffix('"'))
-                .map(str::to_owned)
-        };
-        let u64_field = |t: &str, key: &str| -> Option<u64> {
-            t.strip_prefix(&format!("\"{key}\": "))
-                .and_then(|r| r.parse().ok())
-        };
-        let f64_field = |t: &str, key: &str| -> Option<f64> {
-            t.strip_prefix(&format!("\"{key}\": "))
-                .and_then(|r| r.parse().ok())
+    /// Parse a profile back from [`CycleProfile::to_json`] output. The
+    /// error names the reader's byte offset or the missing field.
+    pub fn from_json(json: &str) -> Result<CycleProfile, String> {
+        let doc = autarky_json::parse(json).map_err(|e| e.to_string())?;
+        let rows = |key: &str| {
+            let rows = doc.get(key).and_then(Json::as_array);
+            rows.ok_or_else(|| format!("{key:?}: expected an array"))
         };
 
-        for line in json.lines() {
-            let t = line.trim().trim_end_matches(',');
-            match t {
-                "\"tags\": [" => {
-                    section = Section::Tags;
-                    continue;
-                }
-                "\"clusters\": [" => {
-                    section = Section::Clusters;
-                    continue;
-                }
-                "\"frames\": [" => {
-                    section = Section::Frames;
-                    continue;
-                }
-                _ => {}
-            }
-            match section {
-                Section::Scalars => {
-                    if let Some(v) = str_field(t, "workload") {
-                        workload = Some(v);
-                    } else if let Some(v) = str_field(t, "policy") {
-                        policy = Some(v);
-                    } else if let Some(v) = u64_field(t, "scale") {
-                        scale = Some(v as u32);
-                    } else if let Some(v) = u64_field(t, "ops") {
-                        ops = Some(v);
-                    } else if let Some(v) = u64_field(t, "total_cycles") {
-                        total_cycles = Some(v);
-                    } else if let Some(v) = u64_field(t, "residual_cycles") {
-                        residual_cycles = Some(v);
-                    } else if let Some(v) = u64_field(t, "orphan_cycles") {
-                        orphan_cycles = v;
-                    } else if let Some(v) = u64_field(t, "journal_dropped") {
-                        journal_dropped = v;
-                    } else if let Some(v) = u64_field(t, "span_dropped") {
-                        span_dropped = v;
-                    } else if let Some(v) = u64_field(t, "flight_dropped") {
-                        flight_dropped = v;
-                    } else if let Some(v) = u64_field(t, "faults") {
-                        faults = Some(v);
-                    } else if let Some(v) = u64_field(t, "fault_p50_cycles") {
-                        p50 = v;
-                    } else if let Some(v) = u64_field(t, "fault_p99_cycles") {
-                        p99 = v;
-                    } else if let Some(v) = u64_field(t, "fault_p999_cycles") {
-                        p999 = v;
-                    } else if let Some(v) = f64_field(t, "fault_mean_cycles") {
-                        mean = v;
-                    }
-                }
-                Section::Tags => {
-                    let item = t.strip_prefix('{').and_then(|s| s.strip_suffix('}'));
-                    if let Some(item) = item {
-                        let mut name = None;
-                        let mut cycles = None;
-                        for part in item.split(", ") {
-                            if let Some(v) = str_field(part, "tag") {
-                                name = Some(v);
-                            } else if let Some(v) = u64_field(part, "cycles") {
-                                cycles = Some(v);
-                            }
-                        }
-                        if let (Some(n), Some(c)) = (name, cycles) {
-                            tags.push((n, c));
-                        }
-                    }
-                }
-                Section::Clusters => {
-                    let item = t.strip_prefix('{').and_then(|s| s.strip_suffix('}'));
-                    if let Some(item) = item {
-                        let mut page = None;
-                        let mut cf = None;
-                        let mut cc = None;
-                        for part in item.split(", ") {
-                            if let Some(v) = u64_field(part, "page") {
-                                page = Some(v);
-                            } else if let Some(v) = u64_field(part, "cluster_faults") {
-                                cf = Some(v);
-                            } else if let Some(v) = u64_field(part, "cluster_cycles") {
-                                cc = Some(v);
-                            }
-                        }
-                        if let (Some(page), Some(faults), Some(cycles)) = (page, cf, cc) {
-                            clusters.push(ClusterRow {
-                                page,
-                                faults,
-                                cycles,
-                            });
-                        }
-                    }
-                }
-                Section::Frames => {
-                    let item = t.strip_prefix('{').and_then(|s| s.strip_suffix('}'));
-                    if let Some(item) = item {
-                        let mut stack = None;
-                        let mut cycles = None;
-                        for part in item.split(", ") {
-                            if let Some(v) = str_field(part, "stack") {
-                                stack = Some(v);
-                            } else if let Some(v) = u64_field(part, "cycles") {
-                                cycles = Some(v);
-                            }
-                        }
-                        if let (Some(s), Some(c)) = (stack, cycles) {
-                            frames.push((s, c));
-                        }
-                    }
-                }
-            }
-        }
-
-        let workload = workload?;
-        let faults = faults?;
+        let workload = text(&doc, "workload")?;
+        let faults = int(&doc, "faults")?;
+        let tags = rows("tags")?
+            .iter()
+            .map(|t| Ok((text(t, "tag")?, int(t, "cycles")?)))
+            .collect::<Result<_, String>>()?;
+        let clusters = rows("clusters")?
+            .iter()
+            .map(|c| {
+                Ok(ClusterRow {
+                    page: int(c, "page")?,
+                    faults: int(c, "cluster_faults")?,
+                    cycles: int(c, "cluster_cycles")?,
+                })
+            })
+            .collect::<Result<_, String>>()?;
+        let frames = rows("frames")?
+            .iter()
+            .map(|f| Ok((text(f, "stack")?, int(f, "cycles")?)))
+            .collect::<Result<Vec<_>, String>>()?;
         let root = if frames.is_empty() {
             ProfileNode::new()
         } else {
-            let (root_name, root) = ProfileNode::from_frames(&frames)?;
-            if root_name != workload {
-                return None;
+            match ProfileNode::from_frames(&frames) {
+                Some((root_name, root)) if root_name == workload => root,
+                _ => return Err(format!("frames are not all rooted at {workload:?}")),
             }
-            root
         };
-        Some(CycleProfile {
-            workload,
-            policy: policy?,
-            scale: scale?,
-            ops: ops?,
-            total_cycles: total_cycles?,
-            residual_cycles: residual_cycles?,
-            orphan_cycles,
-            journal_dropped,
-            span_dropped,
-            flight_dropped,
-            faults,
+        let mean = doc.get("fault_mean_cycles").and_then(Json::as_f64);
+        let mean = mean.ok_or("\"fault_mean_cycles\": expected a number")?;
+        Ok(CycleProfile {
+            policy: text(&doc, "policy")?,
+            scale: u32::try_from(int(&doc, "scale")?)
+                .map_err(|_| "scale out of range".to_owned())?,
+            ops: int(&doc, "ops")?,
+            total_cycles: int(&doc, "total_cycles")?,
+            residual_cycles: int(&doc, "residual_cycles")?,
+            orphan_cycles: int(&doc, "orphan_cycles")?,
+            journal_dropped: int(&doc, "journal_dropped")?,
+            span_dropped: int(&doc, "span_dropped")?,
+            flight_dropped: int(&doc, "flight_dropped")?,
             fault_latency: LatencySummary {
                 count: faults,
-                p50,
-                p99,
-                p999,
+                p50: int(&doc, "fault_p50_cycles")?,
+                p99: int(&doc, "fault_p99_cycles")?,
+                p999: int(&doc, "fault_p999_cycles")?,
                 mean,
             },
+            workload,
+            faults,
             tags,
             clusters,
             root,
@@ -413,24 +257,30 @@ impl CycleProfile {
     }
 }
 
-/// Look up one profile's committed hot-path cycles/fault in a baseline
-/// file: `(name, hot_path_cycles_per_fault)` pairs in the same
-/// line-oriented format [`CycleProfile::to_json`] writes, so a baseline
-/// can be a concatenation of profile JSONs or a hand-trimmed digest.
-pub fn baseline_hot_path(baseline_json: &str, name: &str) -> Option<f64> {
-    let mut current: Option<String> = None;
-    for line in baseline_json.lines() {
-        let t = line.trim().trim_end_matches(',');
-        if let Some(rest) = t.strip_prefix("\"name\": \"") {
-            current = rest.strip_suffix('"').map(str::to_owned);
-        } else if let Some(rest) = t.strip_prefix("\"hot_path_cycles_per_fault\": ") {
-            if current.as_deref() == Some(name) {
-                return rest.parse().ok();
-            }
-            current = None;
-        }
-    }
-    None
+fn int(v: &Json, key: &str) -> Result<u64, String> {
+    let value = v.get(key).and_then(Json::as_u64);
+    value.ok_or_else(|| format!("{key:?}: expected an unsigned integer"))
+}
+
+fn text(v: &Json, key: &str) -> Result<String, String> {
+    let value = v.get(key).and_then(Json::as_str).map(str::to_owned);
+    value.ok_or_else(|| format!("{key:?}: expected a string"))
+}
+
+/// Look up one profile's committed hot-path cycles/fault in a baseline:
+/// either a digest with an `entries` array of
+/// `{"name", "hot_path_cycles_per_fault"}` objects (like
+/// `baselines/profile-v1.json`) or a single [`CycleProfile::to_json`]
+/// document. `Err` when the baseline is not JSON or has no such entry.
+pub fn hot_path_baseline(baseline_json: &str, name: &str) -> Result<f64, String> {
+    let doc = autarky_json::parse(baseline_json).map_err(|e| e.to_string())?;
+    let entries = doc.get("entries").and_then(Json::as_array);
+    let entries = entries.unwrap_or(std::slice::from_ref(&doc));
+    entries
+        .iter()
+        .find(|e| e.get("name").and_then(Json::as_str) == Some(name))
+        .and_then(|e| e.get("hot_path_cycles_per_fault")?.as_f64())
+        .ok_or_else(|| format!("no entry {name:?}"))
 }
 
 #[cfg(test)]
@@ -512,8 +362,14 @@ mod tests {
     #[test]
     fn baseline_lookup_matches_by_name() {
         let json = sample().to_json();
-        let hot = baseline_hot_path(&json, "clusters/spell").expect("found");
+        let hot = hot_path_baseline(&json, "clusters/spell").expect("found");
         assert!((hot - 2450.0).abs() < 1e-6);
-        assert!(baseline_hot_path(&json, "elided/spell").is_none());
+        assert!(hot_path_baseline(&json, "elided/spell").is_err());
+        let committed = include_str!("../../../baselines/profile-v1.json");
+        assert_eq!(
+            hot_path_baseline(committed, "clusters/spell"),
+            Ok(213251.309)
+        );
+        assert!(hot_path_baseline(&json[..json.len() / 2], "clusters/spell").is_err());
     }
 }

@@ -178,3 +178,27 @@ fn every_workload_and_policy_collects_cleanly() {
         }
     }
 }
+
+#[test]
+fn profile_diff_rejects_a_truncated_profile_with_the_byte_offset() {
+    let json = profile_of("paging", "clusters").to_json();
+    let dir = std::env::temp_dir().join(format!("profile-diff-truncated-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let whole = dir.join("whole.json");
+    let cut = dir.join("cut.json");
+    std::fs::write(&whole, &json).expect("write whole");
+    std::fs::write(&cut, &json[..json.len() / 2]).expect("write cut");
+
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_profile-diff"))
+        .arg(&whole)
+        .arg(&cut)
+        .output()
+        .expect("run profile-diff");
+    std::fs::remove_dir_all(&dir).expect("clean temp dir");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "truncated profile accepted");
+    assert!(
+        stderr.contains(&format!("invalid JSON at byte {}", json.len() / 2)),
+        "no byte-offset error in: {stderr}"
+    );
+}

@@ -383,11 +383,6 @@ impl Runtime {
         self.config.budget
     }
 
-    /// Adjust the resident-page budget at run time.
-    pub fn set_budget(&mut self, budget: usize) {
-        self.config.budget = budget;
-    }
-
     /// Cooperatively shrink to `new_budget` resident pages, evicting down
     /// immediately (the enclave side of a memory-ballooning upcall, §5.2.1
     /// / §5.4 — the paper defers the upcall protocol; this is the enclave

@@ -305,11 +305,6 @@ impl Machine {
         }
     }
 
-    /// Whether the transition log is armed.
-    pub fn transition_recording(&self) -> bool {
-        self.record_transitions
-    }
-
     /// Drain all transitions recorded since the last drain.
     pub fn take_transitions(&mut self) -> Vec<TransitionEvent> {
         std::mem::take(&mut self.transitions)

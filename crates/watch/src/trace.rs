@@ -15,32 +15,16 @@
 //!
 //! Timestamps are **simulated cycles, verbatim** (one `ts` unit = one
 //! cycle; `otherData.ts_unit` says so). No wall time, no floats, no
-//! host state: the writer is line-oriented and fully deterministic, so
-//! the artifact is byte-identical across reruns and `--jobs` levels.
-//! [`parse_trace`] reads the writer's exact format back (the schema
-//! round-trip gate in CI).
+//! host state: every event row is one line rendered by the workspace
+//! JSON codec, so the artifact is byte-identical across reruns and
+//! `--jobs` levels. [`parse_trace`] reads it back through the same
+//! codec and checks each row's schema (the round-trip gate in CI).
 
+use autarky_json::{object, Json};
 use autarky_os_sim::kernel::Observation;
 use autarky_os_sim::{FlightEvent, FlightRecord};
 use autarky_sgx_sim::EnclaveId;
 use std::collections::BTreeMap;
-
-/// Minimal JSON string escape (quotes, backslashes, control chars).
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// The enclave a flight event is about, when it names one.
 fn event_eid(event: &FlightEvent) -> Option<EnclaveId> {
@@ -125,80 +109,82 @@ pub fn export_trace(records: &[FlightRecord], members: &[(EnclaveId, String)]) -
             .unwrap_or(0)
     };
 
+    // One event per line, so the artifact diffs and greps by event.
+    let row = |ph: &str, pid: u32, tid: u32, rest: Vec<(&str, Json)>| {
+        let head = [("ph", ph.into()), ("pid", pid.into()), ("tid", tid.into())];
+        object(head.into_iter().chain(rest)).line()
+    };
+    let meta = |pid: u32, tid: u32, kind: &str, name: String| {
+        let args = object([("name", Json::Str(name))]);
+        row("M", pid, tid, vec![("name", kind.into()), ("args", args)])
+    };
+    // A complete event spanning `first..=last` (at least one cycle).
+    let slice = |pid: u32, tid: u32, first: u64, last: u64, name: String, cat: &str, args| {
+        let rest = vec![
+            ("ts", first.into()),
+            ("dur", last.saturating_sub(first).max(1).into()),
+            ("name", Json::Str(name)),
+            ("cat", cat.into()),
+            ("args", args),
+        ];
+        row("X", pid, tid, rest)
+    };
     let mut lines: Vec<String> = Vec::new();
     // Process/thread metadata rows, members in registration order.
-    lines.push(
-        "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"process_name\",\"args\":{\"name\":\"host\"}}"
-            .to_owned(),
-    );
+    lines.push(meta(0, 0, "process_name", "host".to_owned()));
     for (eid, name) in members {
-        lines.push(format!(
-            "{{\"ph\":\"M\",\"pid\":{},\"tid\":0,\"name\":\"process_name\",\"args\":{{\"name\":\"{} (eid {})\"}}}}",
-            eid.0,
-            esc(name),
-            eid.0
-        ));
-        lines.push(format!(
-            "{{\"ph\":\"M\",\"pid\":{},\"tid\":1,\"name\":\"thread_name\",\"args\":{{\"name\":\"events\"}}}}",
-            eid.0
-        ));
-        lines.push(format!(
-            "{{\"ph\":\"M\",\"pid\":{},\"tid\":2,\"name\":\"thread_name\",\"args\":{{\"name\":\"chains\"}}}}",
-            eid.0
-        ));
+        let label = format!("{name} (eid {})", eid.0);
+        lines.push(meta(eid.0, 0, "process_name", label));
+        lines.push(meta(eid.0, 1, "thread_name", "events".to_owned()));
+        lines.push(meta(eid.0, 2, "thread_name", "chains".to_owned()));
     }
 
     // Event rows, in flight-log order.
     for r in records {
         let pid = pid_of(r);
-        match &r.event {
-            FlightEvent::SpanClose {
-                kind,
-                start_cycles,
-                end_cycles,
-            } => {
-                lines.push(format!(
-                    "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":1,\"ts\":{},\"dur\":{},\"name\":\"{}\",\"cat\":\"span\",\"args\":{{\"seq\":{},\"corr\":{}}}}}",
-                    start_cycles,
-                    end_cycles.saturating_sub(*start_cycles).max(1),
-                    esc(kind),
-                    r.seq,
-                    r.corr
-                ));
-            }
-            event => {
-                if let Some((name, cat, global)) = instant_of(event) {
-                    let scope = if global { "g" } else { "t" };
-                    lines.push(format!(
-                        "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":1,\"ts\":{},\"s\":\"{scope}\",\"name\":\"{}\",\"cat\":\"{cat}\",\"args\":{{\"seq\":{},\"corr\":{},\"detail\":\"{}\"}}}}",
-                        r.cycles,
-                        esc(&name),
-                        r.seq,
-                        r.corr,
-                        esc(&event.describe())
-                    ));
-                }
-            }
+        if let FlightEvent::SpanClose {
+            kind,
+            start_cycles,
+            end_cycles,
+        } = &r.event
+        {
+            let args = object([("seq", r.seq.into()), ("corr", r.corr.into())]);
+            let (first, last) = (*start_cycles, *end_cycles);
+            lines.push(slice(pid, 1, first, last, kind.clone(), "span", args));
+        } else if let Some((name, cat, global)) = instant_of(&r.event) {
+            let args = object([
+                ("seq", r.seq.into()),
+                ("corr", r.corr.into()),
+                ("detail", Json::Str(r.event.describe())),
+            ]);
+            let rest = vec![
+                ("ts", r.cycles.into()),
+                ("s", if global { "g" } else { "t" }.into()),
+                ("name", Json::Str(name)),
+                ("cat", cat.into()),
+                ("args", args),
+            ];
+            lines.push(row("i", pid, 1, rest));
         }
     }
 
     // Correlation chains as slices on each member's chain track.
     for (corr, (first, last, count)) in &chain_span {
         let pid = chain_eid.get(corr).map(|eid| eid.0).unwrap_or(0);
-        lines.push(format!(
-            "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":2,\"ts\":{first},\"dur\":{},\"name\":\"chain {corr}\",\"cat\":\"chain\",\"args\":{{\"corr\":{corr},\"events\":{count}}}}}",
-            last.saturating_sub(*first).max(1)
-        ));
+        let args = object([("corr", (*corr).into()), ("events", (*count).into())]);
+        let name = format!("chain {corr}");
+        lines.push(slice(pid, 2, *first, *last, name, "chain", args));
     }
 
-    let mut out = String::from("{\n\"displayTimeUnit\": \"ns\",\n");
-    out.push_str(
-        "\"otherData\": {\"generator\": \"autarky-watch\", \"ts_unit\": \"simulated-cycles\"},\n",
-    );
-    out.push_str("\"traceEvents\": [\n");
-    out.push_str(&lines.join(",\n"));
-    out.push_str("\n]\n}\n");
-    out
+    let other = object([
+        ("generator", "autarky-watch".into()),
+        ("ts_unit", "simulated-cycles".into()),
+    ]);
+    format!(
+        "{{\n\"displayTimeUnit\": \"ns\",\n\"otherData\": {},\n\"traceEvents\": [\n{}\n]\n}}\n",
+        other.line(),
+        lines.join(",\n")
+    )
 }
 
 /// One event row as read back by [`parse_trace`].
@@ -220,105 +206,53 @@ pub struct TraceEvent {
     pub cat: String,
 }
 
-/// Scan `"key":<u64>` out of one event line.
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Scan `"key":"value"` out of one event line, unescaping.
-fn field_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                }
-                other => out.push(other),
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-/// Parse [`export_trace`] output back into event rows. Line-oriented —
-/// exactly the writer's format, not general JSON. Errors name the
-/// offending line so a CI schema break is diagnosable from the log.
+/// Parse [`export_trace`] output (or any JSON layout of it) back into
+/// event rows. Beyond the reader's syntax check, every row needs `ph`,
+/// `pid`, `tid` and `name`; `X` rows need `dur`, `i` rows need `s`, and
+/// any other phase but `M` is rejected. Errors carry the reader's byte
+/// offset or the offending row, so a CI schema break is diagnosable from
+/// the log.
 pub fn parse_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
-    let mut events = Vec::new();
-    let mut in_events = false;
-    let mut seen_close = false;
-    for line in text.lines() {
-        let t = line.trim().trim_end_matches(',');
-        if t == "\"traceEvents\": [" {
-            in_events = true;
-            continue;
-        }
-        if !in_events {
-            continue;
-        }
-        if t == "]" {
-            seen_close = true;
-            in_events = false;
-            continue;
-        }
-        if !t.starts_with('{') || !t.ends_with('}') {
-            return Err(format!("not an event object: {t}"));
-        }
-        let ph = field_str(t, "ph")
-            .and_then(|s| s.chars().next())
-            .ok_or_else(|| format!("missing ph: {t}"))?;
-        let pid = field_u64(t, "pid").ok_or_else(|| format!("missing pid: {t}"))? as u32;
-        let tid = field_u64(t, "tid").ok_or_else(|| format!("missing tid: {t}"))? as u32;
-        let name = field_str(t, "name").ok_or_else(|| format!("missing name: {t}"))?;
-        let ts = field_u64(t, "ts").unwrap_or(0);
-        let dur = field_u64(t, "dur").unwrap_or(0);
-        let cat = field_str(t, "cat").unwrap_or_default();
-        match ph {
-            'M' => {}
-            'X' => {
-                if field_u64(t, "dur").is_none() {
-                    return Err(format!("X event without dur: {t}"));
-                }
-            }
-            'i' => {
-                if field_str(t, "s").is_none() {
-                    return Err(format!("instant without scope: {t}"));
-                }
-            }
-            other => return Err(format!("unknown phase {other:?}: {t}")),
-        }
-        events.push(TraceEvent {
-            ph,
-            pid,
-            tid,
-            ts,
-            dur,
-            name,
-            cat,
-        });
+    let doc = autarky_json::parse(text).map_err(|e| e.to_string())?;
+    doc.get("traceEvents")
+        .and_then(Json::as_array)
+        .ok_or("no traceEvents array")?
+        .iter()
+        .map(trace_event)
+        .collect()
+}
+
+fn trace_event(row: &Json) -> Result<TraceEvent, String> {
+    let missing = |what: &str| format!("{what}: {}", row.line());
+    let text = |key: &str| row.get(key).and_then(Json::as_str);
+    let id = |key: &str| {
+        row.get(key)
+            .and_then(Json::as_u64)
+            .and_then(|v| u32::try_from(v).ok())
+            .ok_or_else(|| missing(&format!("missing {key}")))
+    };
+    let ph = text("ph")
+        .and_then(|s| s.chars().next())
+        .ok_or_else(|| missing("missing ph"))?;
+    let dur = row.get("dur").and_then(Json::as_u64);
+    match ph {
+        'M' => {}
+        'X' if dur.is_none() => return Err(missing("X event without dur")),
+        'i' if text("s").is_none() => return Err(missing("instant without scope")),
+        'X' | 'i' => {}
+        other => return Err(missing(&format!("unknown phase {other:?}"))),
     }
-    if !seen_close {
-        return Err("traceEvents array never closed".to_owned());
-    }
-    Ok(events)
+    Ok(TraceEvent {
+        ph,
+        pid: id("pid")?,
+        tid: id("tid")?,
+        ts: row.get("ts").and_then(Json::as_u64).unwrap_or(0),
+        dur: dur.unwrap_or(0),
+        name: text("name")
+            .ok_or_else(|| missing("missing name"))?
+            .to_owned(),
+        cat: text("cat").unwrap_or_default().to_owned(),
+    })
 }
 
 #[cfg(test)]

@@ -62,11 +62,6 @@ impl KeyGenerator {
         }
     }
 
-    /// Keyspace size.
-    pub fn keyspace(&self) -> u64 {
-        self.n
-    }
-
     /// Draw the next key.
     pub fn next_key(&mut self) -> u64 {
         match self.dist {
