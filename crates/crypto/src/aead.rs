@@ -77,6 +77,26 @@ pub fn seal(
     compute_tag(key, nonce, aad, data)
 }
 
+/// Seal `plaintext` into a new `prefix ‖ tag ‖ ciphertext` buffer,
+/// encrypting it in place there. `prefix` is sent in the clear and is
+/// authenticated only if the caller also puts it in `aad`.
+pub fn seal_framed(
+    key: &[u8; KEY_LEN],
+    nonce: &[u8; NONCE_LEN],
+    aad: &[u8],
+    prefix: &[u8],
+    plaintext: &[u8],
+) -> Vec<u8> {
+    let body = prefix.len() + TAG_LEN;
+    let mut out = Vec::with_capacity(body + plaintext.len());
+    out.extend_from_slice(prefix);
+    out.extend_from_slice(&[0; TAG_LEN]);
+    out.extend_from_slice(plaintext);
+    let tag = seal(key, nonce, aad, &mut out[body..]);
+    out[prefix.len()..body].copy_from_slice(&tag);
+    out
+}
+
 /// Verify `tag` and decrypt `data` in place.
 ///
 /// On tag mismatch the ciphertext is left untouched and

@@ -1,7 +1,18 @@
 //! RFC 7539 Poly1305 one-time authenticator.
 //!
-//! Implemented with five 26-bit limbs (the classic "donna" representation),
-//! which keeps all intermediate products within `u64` range.
+//! The accumulator `h` and key `r` live in three limbs of 44, 44 and 42
+//! bits (the poly1305-donna-64 layout), so every limb product fits a `u128`
+//! with room for the sums: a block multiply is nine 64×64→128 products.
+//! Because 2^130 ≡ 5 (mod p), a product term that lands at bit 132 or above
+//! folds back multiplied by 5·4 = 20, which is why `new` keeps `20·r`.
+//!
+//! Full 32-byte steps absorb two blocks at once as
+//! `h = (h + m1)·r² + m2·r`, with `r²` computed once in [`Poly1305::new`].
+//! The two products do not depend on each other, so their multiplies
+//! overlap instead of queueing on one carry chain. Limbs are only partly
+//! reduced between steps (a limb may exceed its width by a few bits);
+//! [`Poly1305::finalize`] reduces fully before the tag is written, so the
+//! output is the RFC value whatever the step order.
 
 /// Key length in bytes (16-byte `r` + 16-byte `s`).
 pub const KEY_LEN: usize = 32;
@@ -9,118 +20,98 @@ pub const KEY_LEN: usize = 32;
 /// Tag length in bytes.
 pub const TAG_LEN: usize = 16;
 
+const MASK44: u64 = (1 << 44) - 1;
+const MASK42: u64 = (1 << 42) - 1;
+
+/// A field element as three limbs of 44, 44 and 42 bits.
+type Limbs = [u64; 3];
+
 /// Streaming Poly1305 context.
 pub struct Poly1305 {
-    r: [u32; 5],
-    h: [u32; 5],
-    pad: [u32; 4],
+    r: Limbs,
+    r2: Limbs,
+    h: Limbs,
+    pad: [u64; 2],
     buf: [u8; 16],
     buf_len: usize,
+}
+
+/// Split 16 little-endian bytes into limbs; `hibit` is added at bit 128.
+fn limbs(bytes: &[u8], hibit: u64) -> Limbs {
+    let t0 = u64::from_le_bytes(bytes[0..8].try_into().expect("8 bytes"));
+    let t1 = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
+    [
+        t0 & MASK44,
+        ((t0 >> 44) | (t1 << 20)) & MASK44,
+        (t1 >> 24) | (hibit << 40),
+    ]
+}
+
+/// `a·b` as unreduced 128-bit limb sums; `b20` is `20·b`.
+#[inline(always)]
+fn mul(a: &Limbs, b: &Limbs, b20: &Limbs) -> [u128; 3] {
+    let m = |x: u64, y: u64| x as u128 * y as u128;
+    [
+        m(a[0], b[0]) + m(a[1], b20[2]) + m(a[2], b20[1]),
+        m(a[0], b[1]) + m(a[1], b[0]) + m(a[2], b20[2]),
+        m(a[0], b[2]) + m(a[1], b[1]) + m(a[2], b[0]),
+    ]
+}
+
+/// Carry 128-bit limb sums back into 44/44/42-bit limbs (partly reduced).
+#[inline(always)]
+fn carry(d: [u128; 3]) -> Limbs {
+    let d1 = d[1] + (d[0] >> 44);
+    let d2 = d[2] + (d1 >> 44);
+    let h0 = (d[0] as u64 & MASK44) + (d2 >> 42) as u64 * 5;
+    let h1 = (d1 as u64 & MASK44) + (h0 >> 44);
+    [h0 & MASK44, h1, d2 as u64 & MASK42]
+}
+
+fn times20(x: &Limbs) -> Limbs {
+    [x[0] * 20, x[1] * 20, x[2] * 20]
 }
 
 impl Poly1305 {
     /// Create an authenticator from the 32-byte one-time key.
     pub fn new(key: &[u8; KEY_LEN]) -> Self {
         // r is clamped per the RFC: clear the top 4 bits of bytes 3/7/11/15
-        // and the bottom 2 bits of bytes 4/8/12, then split into 26-bit limbs.
-        let t0 = u32::from_le_bytes(key[0..4].try_into().expect("4")) & 0x0fff_ffff;
-        let t1 = u32::from_le_bytes(key[4..8].try_into().expect("4")) & 0x0fff_fffc;
-        let t2 = u32::from_le_bytes(key[8..12].try_into().expect("4")) & 0x0fff_fffc;
-        let t3 = u32::from_le_bytes(key[12..16].try_into().expect("4")) & 0x0fff_fffc;
-        let r = [
-            t0 & 0x03ff_ffff,
-            ((t0 >> 26) | (t1 << 6)) & 0x03ff_ffff,
-            ((t1 >> 20) | (t2 << 12)) & 0x03ff_ffff,
-            ((t2 >> 14) | (t3 << 18)) & 0x03ff_ffff,
-            t3 >> 8,
-        ];
+        // and the bottom 2 bits of bytes 4/8/12.
+        let mut r = limbs(&key[..16], 0);
+        r[0] &= 0x0ffc_0fff_ffff;
+        r[1] &= 0x0fff_ffc0_ffff;
+        r[2] &= 0x000f_ffff_fc0f;
+        let r2 = carry(mul(&r, &r, &times20(&r)));
         let pad = [
-            u32::from_le_bytes(key[16..20].try_into().expect("4")),
-            u32::from_le_bytes(key[20..24].try_into().expect("4")),
-            u32::from_le_bytes(key[24..28].try_into().expect("4")),
-            u32::from_le_bytes(key[28..32].try_into().expect("4")),
+            u64::from_le_bytes(key[16..24].try_into().expect("8 bytes")),
+            u64::from_le_bytes(key[24..32].try_into().expect("8 bytes")),
         ];
         Self {
             r,
-            h: [0; 5],
+            r2,
+            h: [0; 3],
             pad,
             buf: [0; 16],
             buf_len: 0,
         }
     }
 
-    fn block(&mut self, block: &[u8; 16], final_bit: bool) {
-        let hibit: u32 = if final_bit { 0 } else { 1 << 24 };
-        let t0 = u32::from_le_bytes(block[0..4].try_into().expect("4"));
-        let t1 = u32::from_le_bytes(block[4..8].try_into().expect("4"));
-        let t2 = u32::from_le_bytes(block[8..12].try_into().expect("4"));
-        let t3 = u32::from_le_bytes(block[12..16].try_into().expect("4"));
+    /// `h = (h + m)·r` for one 16-byte block (`hibit` 0 for the padded
+    /// final block, 1 otherwise).
+    fn block(&mut self, block: &[u8], hibit: u64) {
+        let m = limbs(block, hibit);
+        let h = [self.h[0] + m[0], self.h[1] + m[1], self.h[2] + m[2]];
+        self.h = carry(mul(&h, &self.r, &times20(&self.r)));
+    }
 
-        let mut h = self.h;
-        h[0] = h[0].wrapping_add(t0 & 0x03ff_ffff);
-        h[1] = h[1].wrapping_add(((t0 >> 26) | (t1 << 6)) & 0x03ff_ffff);
-        h[2] = h[2].wrapping_add(((t1 >> 20) | (t2 << 12)) & 0x03ff_ffff);
-        h[3] = h[3].wrapping_add(((t2 >> 14) | (t3 << 18)) & 0x03ff_ffff);
-        h[4] = h[4].wrapping_add((t3 >> 8) | hibit);
-
-        let r = self.r;
-        let s1 = r[1] * 5;
-        let s2 = r[2] * 5;
-        let s3 = r[3] * 5;
-        let s4 = r[4] * 5;
-
-        let d0 = h[0] as u64 * r[0] as u64
-            + h[1] as u64 * s4 as u64
-            + h[2] as u64 * s3 as u64
-            + h[3] as u64 * s2 as u64
-            + h[4] as u64 * s1 as u64;
-        let d1 = h[0] as u64 * r[1] as u64
-            + h[1] as u64 * r[0] as u64
-            + h[2] as u64 * s4 as u64
-            + h[3] as u64 * s3 as u64
-            + h[4] as u64 * s2 as u64;
-        let d2 = h[0] as u64 * r[2] as u64
-            + h[1] as u64 * r[1] as u64
-            + h[2] as u64 * r[0] as u64
-            + h[3] as u64 * s4 as u64
-            + h[4] as u64 * s3 as u64;
-        let d3 = h[0] as u64 * r[3] as u64
-            + h[1] as u64 * r[2] as u64
-            + h[2] as u64 * r[1] as u64
-            + h[3] as u64 * r[0] as u64
-            + h[4] as u64 * s4 as u64;
-        let d4 = h[0] as u64 * r[4] as u64
-            + h[1] as u64 * r[3] as u64
-            + h[2] as u64 * r[2] as u64
-            + h[3] as u64 * r[1] as u64
-            + h[4] as u64 * r[0] as u64;
-
-        // Carry propagation.
-        let mut c: u64;
-        let mut d1 = d1;
-        let mut d2 = d2;
-        let mut d3 = d3;
-        let mut d4 = d4;
-        c = d0 >> 26;
-        h[0] = (d0 & 0x03ff_ffff) as u32;
-        d1 += c;
-        c = d1 >> 26;
-        h[1] = (d1 & 0x03ff_ffff) as u32;
-        d2 += c;
-        c = d2 >> 26;
-        h[2] = (d2 & 0x03ff_ffff) as u32;
-        d3 += c;
-        c = d3 >> 26;
-        h[3] = (d3 & 0x03ff_ffff) as u32;
-        d4 += c;
-        c = d4 >> 26;
-        h[4] = (d4 & 0x03ff_ffff) as u32;
-        h[0] = h[0].wrapping_add((c * 5) as u32);
-        let c2 = h[0] >> 26;
-        h[0] &= 0x03ff_ffff;
-        h[1] = h[1].wrapping_add(c2);
-
-        self.h = h;
+    /// `h = (h + m1)·r² + m2·r` for two full blocks.
+    fn pair(&mut self, blocks: &[u8]) {
+        let m1 = limbs(&blocks[..16], 1);
+        let m2 = limbs(&blocks[16..32], 1);
+        let h = [self.h[0] + m1[0], self.h[1] + m1[1], self.h[2] + m1[2]];
+        let a = mul(&h, &self.r2, &times20(&self.r2));
+        let b = mul(&m2, &self.r, &times20(&self.r));
+        self.h = carry([a[0] + b[0], a[1] + b[1], a[2] + b[2]]);
     }
 
     /// Absorb message data.
@@ -131,23 +122,24 @@ impl Poly1305 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
-            if self.buf_len == 16 {
-                let block = self.buf;
-                self.block(&block, false);
-                self.buf_len = 0;
+            if self.buf_len < 16 {
+                return self;
             }
+            let block = self.buf;
+            self.block(&block, 1);
+            self.buf_len = 0;
         }
-        while data.len() >= 16 {
-            let (blk, rest) = data.split_at(16);
-            let mut b = [0u8; 16];
-            b.copy_from_slice(blk);
-            self.block(&b, false);
-            data = rest;
+        let mut pairs = data.chunks_exact(32);
+        for pair in &mut pairs {
+            self.pair(pair);
         }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
+        let mut data = pairs.remainder();
+        if data.len() >= 16 {
+            self.block(&data[..16], 1);
+            data = &data[16..];
         }
+        self.buf[..data.len()].copy_from_slice(data);
+        self.buf_len = data.len();
         self
     }
 
@@ -157,61 +149,35 @@ impl Poly1305 {
             let mut block = [0u8; 16];
             block[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
             block[self.buf_len] = 1;
-            self.block(&block, true);
+            self.block(&block, 0);
         }
-        let mut h = self.h;
+        let [mut h0, mut h1, mut h2] = self.h;
 
-        // Full carry.
-        let mut c: u32;
-        c = h[1] >> 26;
-        h[1] &= 0x03ff_ffff;
-        h[2] = h[2].wrapping_add(c);
-        c = h[2] >> 26;
-        h[2] &= 0x03ff_ffff;
-        h[3] = h[3].wrapping_add(c);
-        c = h[3] >> 26;
-        h[3] &= 0x03ff_ffff;
-        h[4] = h[4].wrapping_add(c);
-        c = h[4] >> 26;
-        h[4] &= 0x03ff_ffff;
-        h[0] = h[0].wrapping_add(c * 5);
-        c = h[0] >> 26;
-        h[0] &= 0x03ff_ffff;
-        h[1] = h[1].wrapping_add(c);
-
-        // Compute h + -p.
-        let mut g = [0u32; 5];
-        let mut carry: u32 = 5;
-        for i in 0..5 {
-            let t = h[i].wrapping_add(carry);
-            carry = t >> 26;
-            g[i] = t & 0x03ff_ffff;
+        // Carry twice: afterwards every limb fits its width and h < 2^130.
+        for _ in 0..2 {
+            h2 += h1 >> 44;
+            h1 &= MASK44;
+            h0 += (h2 >> 42) * 5;
+            h2 &= MASK42;
+            h1 += h0 >> 44;
+            h0 &= MASK44;
         }
-        g[4] = g[4].wrapping_sub(1 << 26);
+        h2 += h1 >> 44;
+        h1 &= MASK44;
 
-        // Select h if h < p, else g (constant-time-style select).
-        let mask = (g[4] >> 31).wrapping_sub(1); // all-ones if g >= 0 (i.e. h >= p)
-        for i in 0..5 {
-            h[i] = (h[i] & !mask) | (g[i] & mask);
-        }
+        // g = h + 5 - 2^130; select g when it is non-negative (h >= p).
+        let g0 = h0 + 5;
+        let g1 = h1 + (g0 >> 44);
+        let g2 = (h2 + (g1 >> 44)).wrapping_sub(1 << 42);
+        let mask = (g2 >> 63).wrapping_sub(1); // all-ones if h >= p
+        let h0 = (h0 & !mask) | (g0 & MASK44 & mask);
+        let h1 = (h1 & !mask) | (g1 & MASK44 & mask);
+        let h2 = (h2 & !mask) | (g2 & mask);
 
         // h %= 2^128, then add pad.
-        let h0 = h[0] | (h[1] << 26);
-        let h1 = (h[1] >> 6) | (h[2] << 20);
-        let h2 = (h[2] >> 12) | (h[3] << 14);
-        let h3 = (h[3] >> 18) | (h[4] << 8);
-
-        let mut f: u64;
-        let mut out = [0u8; TAG_LEN];
-        f = h0 as u64 + self.pad[0] as u64;
-        out[0..4].copy_from_slice(&(f as u32).to_le_bytes());
-        f = h1 as u64 + self.pad[1] as u64 + (f >> 32);
-        out[4..8].copy_from_slice(&(f as u32).to_le_bytes());
-        f = h2 as u64 + self.pad[2] as u64 + (f >> 32);
-        out[8..12].copy_from_slice(&(f as u32).to_le_bytes());
-        f = h3 as u64 + self.pad[3] as u64 + (f >> 32);
-        out[12..16].copy_from_slice(&(f as u32).to_le_bytes());
-        out
+        let lo = (h0 | (h1 << 44)) as u128 | ((h1 >> 20 | h2 << 24) as u128) << 64;
+        let pad = self.pad[0] as u128 | (self.pad[1] as u128) << 64;
+        lo.wrapping_add(pad).to_le_bytes()
     }
 }
 

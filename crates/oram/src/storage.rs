@@ -71,27 +71,19 @@ impl BucketSealer {
     }
 
     /// Encrypt a serialized bucket; the output embeds nonce and tag.
-    pub fn seal(&mut self, mut plaintext: Vec<u8>) -> Vec<u8> {
+    pub fn seal(&mut self, plaintext: &[u8]) -> Vec<u8> {
         self.counter += 1;
         let mut nonce = [0u8; NONCE_LEN];
         nonce[..8].copy_from_slice(&self.counter.to_le_bytes());
-        let tag = aead::seal(&self.key, &nonce, b"oram-bucket", &mut plaintext);
-        let mut out = Vec::with_capacity(NONCE_LEN + TAG_LEN + plaintext.len());
-        out.extend_from_slice(&nonce);
-        out.extend_from_slice(&tag);
-        out.extend_from_slice(&plaintext);
-        out
+        aead::seal_framed(&self.key, &nonce, b"oram-bucket", &nonce, plaintext)
     }
 
     /// Decrypt a sealed bucket. Returns `None` on tampering.
     pub fn open(&self, sealed: &[u8]) -> Option<Vec<u8>> {
-        if sealed.len() < NONCE_LEN + TAG_LEN {
-            return None;
-        }
-        let nonce: [u8; NONCE_LEN] = sealed[..NONCE_LEN].try_into().ok()?;
-        let tag: [u8; TAG_LEN] = sealed[NONCE_LEN..NONCE_LEN + TAG_LEN].try_into().ok()?;
-        let mut plaintext = sealed[NONCE_LEN + TAG_LEN..].to_vec();
-        aead::open(&self.key, &nonce, b"oram-bucket", &mut plaintext, &tag).ok()?;
+        let (nonce, rest) = sealed.split_first_chunk::<NONCE_LEN>()?;
+        let (tag, ciphertext) = rest.split_first_chunk::<TAG_LEN>()?;
+        let mut plaintext = ciphertext.to_vec();
+        aead::open(&self.key, nonce, b"oram-bucket", &mut plaintext, tag).ok()?;
         Some(plaintext)
     }
 }
@@ -112,14 +104,14 @@ mod tests {
     #[test]
     fn sealer_roundtrip() {
         let mut sealer = BucketSealer::new([7; 32]);
-        let sealed = sealer.seal(vec![9, 9, 9]);
+        let sealed = sealer.seal(&[9, 9, 9]);
         assert_eq!(sealer.open(&sealed), Some(vec![9, 9, 9]));
     }
 
     #[test]
     fn sealer_detects_tamper() {
         let mut sealer = BucketSealer::new([7; 32]);
-        let mut sealed = sealer.seal(vec![9, 9, 9]);
+        let mut sealed = sealer.seal(&[9, 9, 9]);
         let last = sealed.len() - 1;
         sealed[last] ^= 1;
         assert_eq!(sealer.open(&sealed), None);
@@ -128,8 +120,8 @@ mod tests {
     #[test]
     fn reencryption_changes_ciphertext() {
         let mut sealer = BucketSealer::new([7; 32]);
-        let a = sealer.seal(vec![1, 2, 3]);
-        let b = sealer.seal(vec![1, 2, 3]);
+        let a = sealer.seal(&[1, 2, 3]);
+        let b = sealer.seal(&[1, 2, 3]);
         assert_ne!(a, b, "fresh nonce per write");
     }
 }

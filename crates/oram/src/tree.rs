@@ -253,7 +253,7 @@ impl<S: BucketStorage> PathOram<S> {
             }
             let plaintext = self.serialize_bucket(&chosen);
             self.stats.add("crypto_bytes", plaintext.len() as u64);
-            let sealed = self.sealer.seal(plaintext);
+            let sealed = self.sealer.seal(&plaintext);
             self.storage.write(bucket, sealed);
             self.stats.add("bucket_writes", 1);
         }

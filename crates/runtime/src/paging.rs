@@ -18,15 +18,8 @@ use autarky_sgx_sim::{Vpn, PAGE_SIZE};
 /// Serialized software-sealed page: `version (8) || tag (16) || ciphertext`.
 pub fn sw_seal(key: &[u8; 32], vpn: Vpn, version: u64, contents: &[u8]) -> Vec<u8> {
     debug_assert_eq!(contents.len(), PAGE_SIZE);
-    let mut ciphertext = contents.to_vec();
-    let nonce = sw_nonce(vpn, version);
-    let aad = sw_aad(vpn, version);
-    let tag = aead::seal(key, &nonce, &aad, &mut ciphertext);
-    let mut out = Vec::with_capacity(8 + TAG_LEN + ciphertext.len());
-    out.extend_from_slice(&version.to_le_bytes());
-    out.extend_from_slice(&tag);
-    out.extend_from_slice(&ciphertext);
-    out
+    let (nonce, aad) = (sw_nonce(vpn, version), sw_aad(vpn, version));
+    aead::seal_framed(key, &nonce, &aad, &version.to_le_bytes(), contents)
 }
 
 /// Verify and decrypt a blob produced by [`sw_seal`]. `expected_version`
@@ -37,20 +30,15 @@ pub fn sw_open(
     expected_version: u64,
     blob: &[u8],
 ) -> Option<[u8; PAGE_SIZE]> {
-    if blob.len() != 8 + TAG_LEN + PAGE_SIZE {
-        return None;
-    }
-    let version = u64::from_le_bytes(blob[..8].try_into().ok()?);
+    let (version, rest) = blob.split_first_chunk::<8>()?;
+    let (tag, ciphertext) = rest.split_first_chunk::<TAG_LEN>()?;
+    let version = u64::from_le_bytes(*version);
     if version != expected_version {
         return None;
     }
-    let tag: [u8; TAG_LEN] = blob[8..8 + TAG_LEN].try_into().ok()?;
-    let mut ciphertext = blob[8 + TAG_LEN..].to_vec();
-    let nonce = sw_nonce(vpn, version);
-    let aad = sw_aad(vpn, version);
-    aead::open(key, &nonce, &aad, &mut ciphertext, &tag).ok()?;
-    let mut page = [0u8; PAGE_SIZE];
-    page.copy_from_slice(&ciphertext);
+    let mut page: [u8; PAGE_SIZE] = ciphertext.try_into().ok()?;
+    let (nonce, aad) = (sw_nonce(vpn, version), sw_aad(vpn, version));
+    aead::open(key, &nonce, &aad, &mut page, tag).ok()?;
     Some(page)
 }
 
@@ -61,10 +49,10 @@ fn sw_nonce(vpn: Vpn, version: u64) -> [u8; NONCE_LEN] {
     nonce
 }
 
-fn sw_aad(vpn: Vpn, version: u64) -> Vec<u8> {
-    let mut aad = Vec::with_capacity(16);
-    aad.extend_from_slice(&vpn.0.to_le_bytes());
-    aad.extend_from_slice(&version.to_le_bytes());
+fn sw_aad(vpn: Vpn, version: u64) -> [u8; 16] {
+    let mut aad = [0u8; 16];
+    aad[..8].copy_from_slice(&vpn.0.to_le_bytes());
+    aad[8..].copy_from_slice(&version.to_le_bytes());
     aad
 }
 

@@ -1697,40 +1697,27 @@ fn export_nonce(epoch: u64) -> [u8; NONCE_LEN] {
 
 /// Sealed export blob: `epoch (8) || tag (16) || ciphertext`.
 fn seal_snapshot(key: &[u8; 32], epoch: u64, snapshot: &[u8]) -> Vec<u8> {
-    let mut ciphertext = snapshot.to_vec();
-    let tag = aead::seal(
-        key,
-        &export_nonce(epoch),
-        &epoch.to_le_bytes(),
-        &mut ciphertext,
-    );
-    let mut out = Vec::with_capacity(8 + TAG_LEN + ciphertext.len());
-    out.extend_from_slice(&epoch.to_le_bytes());
-    out.extend_from_slice(&tag);
-    out.extend_from_slice(&ciphertext);
-    out
+    let prefix = epoch.to_le_bytes();
+    aead::seal_framed(key, &export_nonce(epoch), &prefix, &prefix, snapshot)
 }
 
 /// Verify and decrypt a blob produced by [`seal_snapshot`].
 fn open_snapshot(key: &[u8; 32], expected_epoch: u64, blob: &[u8]) -> Option<Vec<u8>> {
-    if blob.len() < 8 + TAG_LEN {
+    let (epoch, rest) = blob.split_first_chunk::<8>()?;
+    let (tag, ciphertext) = rest.split_first_chunk::<TAG_LEN>()?;
+    if u64::from_le_bytes(*epoch) != expected_epoch {
         return None;
     }
-    let epoch = u64::from_le_bytes(blob[..8].try_into().ok()?);
-    if epoch != expected_epoch {
-        return None;
-    }
-    let tag: [u8; TAG_LEN] = blob[8..8 + TAG_LEN].try_into().ok()?;
-    let mut ciphertext = blob[8 + TAG_LEN..].to_vec();
+    let mut plaintext = ciphertext.to_vec();
     aead::open(
         key,
-        &export_nonce(epoch),
-        &epoch.to_le_bytes(),
-        &mut ciphertext,
-        &tag,
+        &export_nonce(expected_epoch),
+        epoch,
+        &mut plaintext,
+        tag,
     )
     .ok()?;
-    Some(ciphertext)
+    Some(plaintext)
 }
 
 // ------------------------------------------------------------------

@@ -41,14 +41,12 @@ fn nonce_for(eid: EnclaveId, vpn: Vpn, version: u64) -> [u8; NONCE_LEN] {
     nonce
 }
 
-fn aad_for(eid: EnclaveId, vpn: Vpn, version: u64, perms: Perms) -> Vec<u8> {
-    let mut aad = Vec::with_capacity(24);
-    aad.extend_from_slice(&eid.0.to_le_bytes());
-    aad.extend_from_slice(&vpn.0.to_le_bytes());
-    aad.extend_from_slice(&version.to_le_bytes());
-    aad.push(perms.r as u8);
-    aad.push(perms.w as u8);
-    aad.push(perms.x as u8);
+fn aad_for(eid: EnclaveId, vpn: Vpn, version: u64, perms: Perms) -> [u8; 23] {
+    let mut aad = [0u8; 23];
+    aad[..4].copy_from_slice(&eid.0.to_le_bytes());
+    aad[4..12].copy_from_slice(&vpn.0.to_le_bytes());
+    aad[12..20].copy_from_slice(&version.to_le_bytes());
+    aad[20..].copy_from_slice(&[perms.r as u8, perms.w as u8, perms.x as u8]);
     aad
 }
 
@@ -77,14 +75,12 @@ pub fn seal_page(
 
 /// Verify and decrypt a sealed page.
 pub fn open_page(key: &[u8; 32], sealed: &SealedPage) -> Result<PageData, AeadError> {
-    if sealed.ciphertext.len() != PAGE_SIZE {
-        return Err(AeadError::TagMismatch);
-    }
-    let mut buf = sealed.ciphertext.clone();
+    let mut page =
+        PageData::try_from(sealed.ciphertext.clone()).map_err(|_| AeadError::TagMismatch)?;
     let nonce = nonce_for(sealed.eid, sealed.vpn, sealed.version);
     let aad = aad_for(sealed.eid, sealed.vpn, sealed.version, sealed.perms);
-    aead::open(key, &nonce, &aad, &mut buf, &sealed.tag)?;
-    Ok(buf.into_boxed_slice().try_into().expect("PAGE_SIZE bytes"))
+    aead::open(key, &nonce, &aad, &mut page[..], &sealed.tag)?;
+    Ok(page)
 }
 
 #[cfg(test)]
