@@ -11,13 +11,15 @@
 //! practical paging backend.
 //!
 //! * [`tree`] — the PathORAM protocol (Z=4 buckets, greedy write-back);
-//! * [`storage`] — the untrusted, encrypted bucket store abstraction;
+//! * [`storage`] — the untrusted, encrypted bucket store abstraction and
+//!   the path-at-a-time bucket sealer;
 //! * [`cache`] — the enclave-managed LRU block cache front-end;
 //! * [`stats`] — event counters converted to cycles by the runtime.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod batch;
 pub mod cache;
 pub mod stats;
 pub mod storage;

@@ -163,7 +163,17 @@ pub struct EncHeap {
     /// runtime allocator).
     oram_bump: u64,
     oram_capacity_bytes: u64,
-    last_stats: OramStats,
+    /// The ORAM counters at the last charge.
+    charged: Charged,
+}
+
+/// The four ORAM counters that cost cycles, as of the last charge.
+#[derive(Default)]
+struct Charged {
+    bucket_ops: u64,
+    crypto_bytes: u64,
+    scan_bytes: u64,
+    cache_hits: u64,
 }
 
 impl EncHeap {
@@ -173,7 +183,7 @@ impl EncHeap {
             mode: HeapMode::Direct,
             oram_bump: 0,
             oram_capacity_bytes: 0,
-            last_stats: OramStats::default(),
+            charged: Charged::default(),
         }
     }
 
@@ -186,7 +196,7 @@ impl EncHeap {
             mode: HeapMode::CachedOram(Box::new(CachedOram::new(oram, cache_pages))),
             oram_bump: PAGE_SIZE as u64, // skip block 0 so Ptr(0) stays null
             oram_capacity_bytes: capacity_pages * PAGE_SIZE as u64,
-            last_stats: OramStats::default(),
+            charged: Charged::default(),
         }
     }
 
@@ -199,7 +209,7 @@ impl EncHeap {
             mode: HeapMode::UncachedOram(Box::new(oram)),
             oram_bump: PAGE_SIZE as u64,
             oram_capacity_bytes: capacity_pages * PAGE_SIZE as u64,
-            last_stats: OramStats::default(),
+            charged: Charged::default(),
         }
     }
 
@@ -248,10 +258,8 @@ impl EncHeap {
                         .map_err(oram_err)?;
                     done += chunk;
                 }
-                let stats = cache.oram().stats.clone();
+                Self::charge(world, &mut self.charged, &cache.oram().stats);
                 let stash = cache.oram().stash_len() as u64;
-                Self::charge(world, &self.last_stats, &stats);
-                self.last_stats = stats;
                 Self::exit_oram(world, span, stash);
                 Ok(())
             }
@@ -267,10 +275,8 @@ impl EncHeap {
                     buf[done..done + chunk].copy_from_slice(&data[off..off + chunk]);
                     done += chunk;
                 }
-                let stats = oram.stats.clone();
+                Self::charge(world, &mut self.charged, &oram.stats);
                 let stash = oram.stash_len() as u64;
-                Self::charge(world, &self.last_stats, &stats);
-                self.last_stats = stats;
                 Self::exit_oram(world, span, stash);
                 Ok(())
             }
@@ -294,10 +300,8 @@ impl EncHeap {
                         .map_err(oram_err)?;
                     done += chunk;
                 }
-                let stats = cache.oram().stats.clone();
+                Self::charge(world, &mut self.charged, &cache.oram().stats);
                 let stash = cache.oram().stash_len() as u64;
-                Self::charge(world, &self.last_stats, &stats);
-                self.last_stats = stats;
                 Self::exit_oram(world, span, stash);
                 Ok(())
             }
@@ -314,10 +318,8 @@ impl EncHeap {
                     oram.write(block, &block_data).map_err(oram_err)?;
                     done += chunk;
                 }
-                let stats = oram.stats.clone();
+                Self::charge(world, &mut self.charged, &oram.stats);
                 let stash = oram.stash_len() as u64;
-                Self::charge(world, &self.last_stats, &stats);
-                self.last_stats = stats;
                 Self::exit_oram(world, span, stash);
                 Ok(())
             }
@@ -338,19 +340,23 @@ impl EncHeap {
         world.rt.telemetry.gauge_set("stash_occupancy", stash);
     }
 
-    /// Convert ORAM event deltas into machine cycles.
-    fn charge(world: &mut World, before: &OramStats, after: &OramStats) {
+    /// Convert the ORAM events since the last charge into machine cycles.
+    fn charge(world: &mut World, charged: &mut Charged, stats: &OramStats) {
+        let now = Charged {
+            bucket_ops: stats.bucket_reads() + stats.bucket_writes(),
+            crypto_bytes: stats.crypto_bytes(),
+            scan_bytes: stats.oblivious_scan_bytes(),
+            cache_hits: stats.cache_hits(),
+        };
         let costs = &world.os.machine.costs;
-        let bucket_ops = (after.bucket_reads() - before.bucket_reads())
-            + (after.bucket_writes() - before.bucket_writes());
         // Bucket sealing runs on AES-NI-class hardware crypto (~1
         // cycle/byte including the GCM tag work).
-        let cycles = bucket_ops * 200 // untrusted-memory round trip per bucket
-            + (after.crypto_bytes() - before.crypto_bytes())
-            + (after.oblivious_scan_bytes() - before.oblivious_scan_bytes())
-                * costs.oblivious_copy_per_byte
-            + (after.cache_hits() - before.cache_hits()) * 15; // pinned-cache lookup
+        let cycles = (now.bucket_ops - charged.bucket_ops) * 200 // untrusted-memory round trip per bucket
+            + (now.crypto_bytes - charged.crypto_bytes)
+            + (now.scan_bytes - charged.scan_bytes) * costs.oblivious_copy_per_byte
+            + (now.cache_hits - charged.cache_hits) * 15; // pinned-cache lookup
         world.os.machine.clock.charge_tagged(CostTag::Oram, cycles);
+        *charged = now;
     }
 
     /// The adversary-visible ORAM bucket-access log: `(bucket index,
